@@ -1,13 +1,13 @@
 //! Churn-certification throughput: drive the admission engine through
-//! one deterministic request sequence under three certification modes
-//! (from-scratch sequential, from-scratch parallel, incremental fast
-//! path) and report admissions/sec for each. Every mode must answer
-//! bit-identically — speed without exactness is a violation.
+//! one deterministic request sequence under two certification modes
+//! (uncached sequential, cached parallel fast path) and report
+//! admissions/sec for each. Both modes must answer bit-identically —
+//! speed without exactness is a violation.
 //!
 //! Usage: `throughput [--n N] [--ops N] [--seed S] [--workers W] [--check]
 //! [--out-dir DIR]`
-//! `--check` additionally requires the incremental mode to reach at
-//! least the from-scratch sequential admissions/sec.
+//! `--check` additionally requires the parallel mode to reach at least
+//! the uncached sequential admissions/sec.
 //! Exits 1 on any cross-mode mismatch (or a failed `--check`); also
 //! writes `<out-dir>/metrics-throughput.json` (`dnc-metrics/v1`,
 //! default `results/`).
@@ -81,7 +81,7 @@ fn main() {
     }
     if check && report.speedup() < 1.0 {
         eprintln!(
-            "check failed: incremental fast path slower than from-scratch sequential ({:.2}x)",
+            "check failed: parallel fast path slower than uncached sequential ({:.2}x)",
             report.speedup()
         );
         std::process::exit(dnc_bench::exit::VIOLATION);

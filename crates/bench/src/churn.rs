@@ -27,11 +27,11 @@ use dnc_core::integrated::Integrated;
 use dnc_net::{Network, ServerId};
 use dnc_num::Rat;
 use dnc_service::journal::replay;
-use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Op, Request, Response};
+use dnc_service::{scratch_dir, AdmitRequest, ChurnEngine, EngineConfig, Op, Request, Response};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Knobs of a churn run.
 #[derive(Clone, Debug)]
@@ -452,25 +452,14 @@ pub fn run_sequence(seq: usize, cfg: &ChurnConfig, dir: &Path) -> SequenceOutcom
     }
 }
 
-/// Scratch directory for one run's journals — unique per run so
-/// concurrent runs (parallel tests, most often) never share or delete
-/// each other's journals.
-fn scratch_dir(seed: u64) -> PathBuf {
-    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dnc_churn_{}_{seed}_{run}", std::process::id()))
-}
-
 /// Run the whole harness. Deterministic in `cfg` (journals live in a
 /// scratch directory and are removed as each sequence finishes).
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     let _span = dnc_telemetry::span("churn.run");
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
+    let dir = scratch_dir(&format!("churn_{}", cfg.seed)).expect("temp dir is writable");
     let outcomes = (0..cfg.seqs)
-        .map(|seq| run_sequence(seq, cfg, &dir))
+        .map(|seq| run_sequence(seq, cfg, dir.path()))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     ChurnReport {
         cfg: cfg.clone(),
         outcomes,
@@ -479,11 +468,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
 
 /// Replay one sequence of the run `cfg` describes, alone and bit-exact.
 pub fn replay_sequence(cfg: &ChurnConfig, seq: usize) -> SequenceOutcome {
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
-    let outcome = run_sequence(seq, cfg, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    let dir = scratch_dir(&format!("churn_{}", cfg.seed)).expect("temp dir is writable");
+    run_sequence(seq, cfg, dir.path())
 }
 
 /// The run as `dnc-metrics/v1` series: one row per sequence.

@@ -214,10 +214,9 @@ mod tests {
         let records: Vec<BenchRecord> = [100.0, 104.0, 300.0].iter().map(|&v| record(v)).collect();
         let gate = evaluate_gate(&records, &GateConfig::default());
         assert!(gate.regressed());
-        let dir = std::env::temp_dir().join(format!("dnc_dashboard_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = dnc_service::scratch_dir("dashboard").unwrap();
         let index = render_dashboard(
-            &dir,
+            dir.path(),
             &[Panel {
                 name: "throughput",
                 records: &records,
@@ -230,6 +229,5 @@ mod tests {
         assert!(html.contains("t.wall_us"));
         assert!(html.contains("<svg"), "charts inlined");
         assert!(dir.join("throughput-t-wall-us.svg").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -557,19 +557,14 @@ mod tests {
         }
     }
 
-    fn scratch(label: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("dnc_runner_{label}_{}", std::process::id()))
-    }
-
     #[test]
     fn quick_run_appends_valid_records_and_archives() {
-        let root = scratch("append");
-        let _ = std::fs::remove_dir_all(&root);
+        let root = dnc_service::scratch_dir("runner_append").unwrap();
         let opts = BenchOptions {
             quick: true,
             seed: 3,
             out_dir: root.join("results"),
-            bench_dir: root.clone(),
+            bench_dir: root.path().to_path_buf(),
             stamp: Some(test_stamp()),
             dashboard: Some(root.join("dashboard")),
             ..BenchOptions::default()
@@ -581,10 +576,9 @@ mod tests {
             let text = std::fs::read_to_string(path).unwrap();
             dnc_telemetry::schema::validate_bench(&text).unwrap();
         }
-        // The throughput stages share one analysis cache, so the
-        // record must show real reuse, not the perpetual zero that
-        // per-stage private caches used to report: the shared cache
-        // retains entries in every build, and the derived
+        // The throughput's parallel stage certifies every request
+        // against one analysis cache, so the record must show real
+        // reuse: the cache retains entries in every build, and the derived
         // `cache.hit_rate` is present whenever counters are compiled
         // in (the telemetry feature — CI's bench-record job).
         let records = load_trajectory(&summary.trajectory_paths[0]).unwrap();
@@ -593,7 +587,7 @@ mod tests {
             .get("throughput.cache_entries")
             .copied()
             .unwrap_or(0.0);
-        assert!(entries > 0.0, "shared cache memoized nothing: {entries}");
+        assert!(entries > 0.0, "the cache memoized nothing: {entries}");
         if cfg!(feature = "telemetry") {
             let rate = records[0]
                 .metrics
@@ -618,7 +612,6 @@ mod tests {
         let records = load_trajectory(&summary2.trajectory_paths[0]).unwrap();
         assert_eq!(records.len(), 2, "append-only trajectory");
         assert_eq!(summary2.gates[0].1.priors, 1);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::trajectory::time_micros;
 use dnc_net::{Network, Server};
 use dnc_service::server::{self, ServerConfig};
-use dnc_service::{ChurnEngine, EngineConfig, Journal, Op, Request, Response};
+use dnc_service::{scratch_dir, ChurnEngine, EngineConfig, Journal, Op, Request, Response};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -202,7 +202,6 @@ fn run_mode(
     wal: PathBuf,
 ) -> (SocketOutcome, Vec<String>) {
     let mut mismatches = Vec::new();
-    let _ = std::fs::remove_file(&wal);
     let (engine, _) = ChurnEngine::open(tiny_net(), Vec::new(), EngineConfig::default(), &wal)
         .expect("fresh journal on a tiny base opens");
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener binds");
@@ -271,6 +270,12 @@ fn run_mode(
     if !report.drained_clean {
         mismatches.push(format!("{label}: drain timed out with stragglers"));
     }
+    if report.writers_left > 0 {
+        mismatches.push(format!(
+            "{label}: {} connection writer(s) still running after the drain",
+            report.writers_left
+        ));
+    }
     let (_, replay) = Journal::resume(&wal).expect("served journal replays");
     if replay.ops.len() as u64 != acked {
         mismatches.push(format!(
@@ -288,7 +293,6 @@ fn run_mode(
             served.state_digest()
         ));
     }
-    let _ = std::fs::remove_file(&wal);
 
     let secs = wall_us.max(1) as f64 / 1_000_000.0;
     (
@@ -306,14 +310,11 @@ fn run_mode(
 /// Run both commit modes over the same workload and cross-check them.
 pub fn run_socket(cfg: &SocketConfig) -> SocketReport {
     let _span = dnc_telemetry::span("socket.run");
-    let dir = std::env::temp_dir();
+    let dir = scratch_dir("socket_bench").expect("temp dir is writable");
     let mut modes = Vec::new();
     let mut mismatches = Vec::new();
     for (label, batch) in [("per-op", 1), ("grouped", cfg.batch.max(2))] {
-        let wal = dir.join(format!(
-            "dnc_socket_bench_{}_{label}.wal",
-            std::process::id()
-        ));
+        let wal = dir.join(format!("{label}.wal"));
         let (outcome, problems) = run_mode(label, batch, cfg, wal);
         mismatches.extend(problems);
         modes.push(outcome);

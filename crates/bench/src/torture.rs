@@ -32,8 +32,8 @@ use crate::paper_tandem;
 use dnc_net::{Network, ServerId};
 use dnc_num::Rat;
 use dnc_service::{
-    AdmitOp, AdmitRequest, ChurnEngine, EngineConfig, FaultFs, Op, Request, StorageHandle,
-    FAULT_KINDS,
+    scratch_dir, AdmitOp, AdmitRequest, ChurnEngine, EngineConfig, FaultFs, Op, Request,
+    StorageHandle, FAULT_KINDS,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -470,23 +470,13 @@ pub fn run_scenario(scenario: usize, cfg: &TortureConfig, dir: &Path) -> Scenari
     }
 }
 
-/// Scratch directory for one sweep's journals — unique per run so
-/// concurrent runs never share or delete each other's files.
-fn scratch_dir(seed: u64) -> PathBuf {
-    static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dnc_torture_{}_{seed}_{run}", std::process::id()))
-}
-
 /// Run the whole sweep. Deterministic in `cfg`.
 pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
     let _span = dnc_telemetry::span("torture.run");
-    let dir = scratch_dir(cfg.seed);
-    let _ = std::fs::create_dir_all(&dir);
+    let dir = scratch_dir(&format!("torture_{}", cfg.seed)).expect("temp dir is writable");
     let outcomes = (0..cfg.scenarios)
-        .map(|scenario| run_scenario(scenario, cfg, &dir))
+        .map(|scenario| run_scenario(scenario, cfg, dir.path()))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     TortureReport {
         cfg: cfg.clone(),
         outcomes,
@@ -645,8 +635,7 @@ mod tests {
     fn a_lost_ack_is_flagged() {
         // Feed the oracle a recovered journal that is missing the last
         // acked op: pretend one more op was acked than was journaled.
-        let dir = scratch_dir(99);
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = scratch_dir("torture_lost_ack").unwrap();
         let cfg = tiny();
         let mut rng = scenario_rng(cfg.seed, 0);
         let n = rng.gen_range(2usize..=3);
@@ -672,7 +661,6 @@ mod tests {
             violations.iter().any(|v| v.contains("acked op was lost")),
             "{violations:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

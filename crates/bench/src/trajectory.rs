@@ -566,9 +566,8 @@ mod tests {
 
     #[test]
     fn append_grows_one_line_per_run() {
-        let dir = std::env::temp_dir().join(format!("dnc_trajectory_{}", std::process::id()));
+        let dir = dnc_service::scratch_dir("trajectory").unwrap();
         let path = dir.join("BENCH_test.json");
-        let _ = std::fs::remove_file(&path);
         let rec = record(&[("m", 1.0)]);
         append_record(&path, &rec).unwrap();
         append_record(&path, &rec).unwrap();
@@ -576,7 +575,7 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         dnc_telemetry::schema::validate_bench(&text).unwrap();
         assert_eq!(load_trajectory(&path).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
         assert_eq!(load_trajectory(&path).unwrap().len(), 0, "missing = empty");
     }
 
@@ -649,7 +648,7 @@ mod tests {
     #[test]
     fn direction_table_covers_harness_metrics() {
         assert_eq!(
-            metric_direction("throughput.incremental.wall_us"),
+            metric_direction("throughput.parallel.wall_us"),
             Direction::LowerIsBetter
         );
         assert_eq!(

@@ -9,6 +9,7 @@
 
 use dnc_bench::dashboard::{render_dashboard, Panel};
 use dnc_bench::trajectory::{evaluate_gate, BenchRecord, GateConfig};
+use dnc_service::scratch_dir;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -70,10 +71,9 @@ fn dashboard_matches_golden() {
         "fixture must exercise the regression path"
     );
 
-    let dir = std::env::temp_dir().join(format!("dnc_golden_dash_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("golden_dash").expect("scratch dir");
     let index = render_dashboard(
-        &dir,
+        dir.path(),
         &[Panel {
             name: "throughput",
             records: &records,
@@ -88,17 +88,14 @@ fn dashboard_matches_golden() {
     let svg = std::fs::read_to_string(dir.join("throughput-throughput-incremental-wall-us.svg"))
         .expect("per-metric svg written next to index.html");
     check_against_golden("dashboard-wall-us.svg", &svg);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn empty_dashboard_is_still_valid_html() {
     let gate = evaluate_gate(&[], &GateConfig::default());
-    let dir = std::env::temp_dir().join(format!("dnc_golden_dash_empty_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("golden_dash_empty").expect("scratch dir");
     let index = render_dashboard(
-        &dir,
+        dir.path(),
         &[Panel {
             name: "churn",
             records: &[],
@@ -112,5 +109,4 @@ fn empty_dashboard_is_still_valid_html() {
         "no records means no regressions"
     );
     assert!(html.contains("no records yet"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

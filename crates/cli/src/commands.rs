@@ -1375,10 +1375,12 @@ fn tandem_file(n: usize, u: Rat) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnc_service::{scratch_dir, ScratchDir};
 
-    fn sample_file() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// The sample network, written into a fresh scratch directory that
+    /// lives as long as the returned guard.
+    fn sample_file() -> (ScratchDir, std::path::PathBuf) {
+        let dir = scratch_dir("cli_test").unwrap();
         let path = dir.join("sample.dnc");
         std::fs::write(
             &path,
@@ -1391,7 +1393,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 ",
         )
         .unwrap();
-        path
+        (dir, path)
     }
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -1400,7 +1402,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn check_reports_structure() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&["check", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("2 servers, 3 flows"));
         assert!(out.contains("topological order: L0 -> L1"));
@@ -1409,7 +1411,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn analyze_all_algorithms() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&["analyze", p.to_str().unwrap(), "--algo", "all"])).unwrap();
         assert!(out.contains("[decomposed]"));
         assert!(out.contains("[integrated]"));
@@ -1420,7 +1422,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn analyze_csv_output() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let dir = p.parent().unwrap().to_path_buf();
         let csv_path = dir.join("out.csv");
         let out = run(&args(&[
@@ -1441,7 +1443,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn chaos_smoke_reports_soundness_and_writes_metrics() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let metrics = p.parent().unwrap().join("chaos-metrics.json");
         let out = run(&args(&[
             "chaos",
@@ -1485,7 +1487,8 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn churn_smoke_is_sound_and_writes_metrics() {
-        let metrics = sample_file().parent().unwrap().join("churn-metrics.json");
+        let dir = scratch_dir("cli_churn").unwrap();
+        let metrics = dir.join("churn-metrics.json");
         let out = run(&args(&[
             "churn",
             "--seqs",
@@ -1529,8 +1532,7 @@ flow upper1 route L1 bucket 1 1/8 peak 1
         );
     }
 
-    fn write_script(name: &str, text: &str) -> std::path::PathBuf {
-        let dir = sample_file().parent().unwrap().to_path_buf();
+    fn write_script(dir: &ScratchDir, name: &str, text: &str) -> std::path::PathBuf {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
         path
@@ -1538,8 +1540,9 @@ flow upper1 route L1 bucket 1 1/8 peak 1
 
     #[test]
     fn serve_admits_releases_and_queries() {
-        let p = sample_file();
+        let (dir, p) = sample_file();
         let script = write_script(
+            &dir,
             "serve-roundtrip.txt",
             "\
 # one connection in, inspected, then out again
@@ -1565,8 +1568,9 @@ query
 
     #[test]
     fn serve_rejects_an_impossible_deadline() {
-        let p = sample_file();
+        let (dir, p) = sample_file();
         let script = write_script(
+            &dir,
             "serve-reject.txt",
             "admit hopeless route L0 L1 bucket 1 1/8 deadline 1/1000\n",
         );
@@ -1584,10 +1588,10 @@ query
 
     #[test]
     fn serve_recovers_committed_state_from_the_journal() {
-        let p = sample_file();
-        let journal = p.parent().unwrap().join("serve-recovery.wal");
-        let _ = std::fs::remove_file(&journal);
+        let (dir, p) = sample_file();
+        let journal = dir.join("serve-recovery.wal");
         let first = write_script(
+            &dir,
             "serve-recovery-1.txt",
             "admit durable route L0 L1 bucket 1 1/8 deadline 40\n",
         );
@@ -1602,7 +1606,7 @@ query
         .unwrap();
         assert!(out.contains("ADMIT   durable"), "{out}");
 
-        let second = write_script("serve-recovery-2.txt", "query\n");
+        let second = write_script(&dir, "serve-recovery-2.txt", "query\n");
         let out = run(&args(&[
             "serve",
             p.to_str().unwrap(),
@@ -1622,8 +1626,9 @@ query
 
     #[test]
     fn serve_sheds_under_overload() {
-        let p = sample_file();
+        let (dir, p) = sample_file();
         let script = write_script(
+            &dir,
             "serve-shed.txt",
             "\
 admit a route L0 L1 bucket 1 1/8 deadline 50
@@ -1656,12 +1661,12 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn serve_usage_errors_exit_2() {
-        let p = sample_file();
+        let (dir, p) = sample_file();
         // No --script at all.
         let err = run(&args(&["serve", p.to_str().unwrap()])).unwrap_err();
         assert_eq!(err.code, EXIT_USAGE);
         // A script line the grammar rejects.
-        let script = write_script("serve-bad.txt", "admit x route L0 bucket 1 1/8\n");
+        let script = write_script(&dir, "serve-bad.txt", "admit x route L0 bucket 1 1/8\n");
         let err = run(&args(&[
             "serve",
             p.to_str().unwrap(),
@@ -1673,6 +1678,7 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
         assert!(err.message.contains("deadline"), "{}", err.message);
         // An unknown server name.
         let script = write_script(
+            &dir,
             "serve-bad-server.txt",
             "admit x route L9 bucket 1 1/8 deadline 5\n",
         );
@@ -1697,7 +1703,7 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn analyze_single_algorithm() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&[
             "analyze",
             p.to_str().unwrap(),
@@ -1711,7 +1717,7 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn backlog_lists_every_server() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&["backlog", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("L0"));
         assert!(out.contains("L1"));
@@ -1719,7 +1725,7 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
 
     #[test]
     fn simulate_reports_ok() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&[
             "simulate",
             p.to_str().unwrap(),
@@ -1739,7 +1745,7 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
         assert!(run(&args(&["analyze", "/nonexistent.dnc"])).is_err());
         assert!(run(&args(&["frobnicate"])).is_err());
         assert!(run(&args(&[])).is_err());
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         assert!(run(&args(&["analyze", p.to_str().unwrap(), "--algo", "magic"])).is_err());
     }
 
@@ -1749,9 +1755,8 @@ admit c route L0 L1 bucket 1 1/8 deadline 90
         assert!(out.contains("usage: dnc"));
     }
 
-    fn ring_file() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_ring_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn ring_file() -> (ScratchDir, std::path::PathBuf) {
+        let dir = scratch_dir("cli_ring").unwrap();
         let path = dir.join("ring.dnc");
         std::fs::write(
             &path,
@@ -1765,12 +1770,12 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
 ",
         )
         .unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn cyclic_file_is_checked_and_analyzed() {
-        let p = ring_file();
+        let (_dir, p) = ring_file();
         let out = run(&args(&["check", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("CYCLIC"));
         // `analyze` with the default routes through the resilient chain,
@@ -1792,7 +1797,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
 
     #[test]
     fn resilient_algo_on_feedforward_reports_tier() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&[
             "analyze",
             p.to_str().unwrap(),
@@ -1809,8 +1814,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
         // 5-ring with full-circumference flows past the time-stopping
         // amplification threshold: the chain must end at the explicit
         // Unbounded tier with its dedicated exit code.
-        let dir = std::env::temp_dir().join(format!("dnc_cli_heavy_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("cli_heavy").unwrap();
         let path = dir.join("heavy-ring.dnc");
         let mut text = String::new();
         for i in 0..5 {
@@ -1832,8 +1836,7 @@ flow f2 route r2 r0 bucket 1 1/8 peak 1
 
     #[test]
     fn provision_allocates_reservations() {
-        let dir = std::env::temp_dir().join(format!("dnc_cli_prov_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("cli_prov").unwrap();
         let path = dir.join("prov.dnc");
         std::fs::write(
             &path,
@@ -1877,7 +1880,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_compares_all_algorithms() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let out = run(&args(&["profile", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("service-curve"));
         assert!(out.contains("decomposed"));
@@ -1889,7 +1892,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_cyclic_uses_time_stopping() {
-        let p = ring_file();
+        let (_dir, p) = ring_file();
         let out = run(&args(&["profile", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("(cyclic)"));
         assert!(out.contains("time-stopping"));
@@ -1898,7 +1901,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_writes_valid_metrics_and_trace() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let dir = p.parent().unwrap().to_path_buf();
         let metrics = dir.join("profile-metrics.json");
         let trace = dir.join("profile-trace.json");
@@ -1926,7 +1929,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn analyze_metrics_flag_writes_valid_json() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         let dir = p.parent().unwrap().to_path_buf();
         let metrics = dir.join("analyze-metrics.json");
         run(&args(&[
@@ -1945,7 +1948,7 @@ flow voice route core bucket 1 1/16 peak 1 deadline 8
 
     #[test]
     fn profile_rejects_unknown_option() {
-        let p = sample_file();
+        let (_dir, p) = sample_file();
         assert!(run(&args(&["profile", p.to_str().unwrap(), "--bogus"])).is_err());
         assert!(run(&args(&["profile", p.to_str().unwrap(), "--metrics"])).is_err());
     }

@@ -11,15 +11,13 @@
 
 use dnc_bench::trajectory::{append_record, BenchRecord};
 use dnc_cli::commands::{run, EXIT_REGRESSION};
+use dnc_service::{scratch_dir, ScratchDir};
 use dnc_telemetry::schema;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_bench_cli_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    scratch_dir(&format!("bench_cli_{tag}")).expect("create scratch dir")
 }
 
 fn prior(speedup: f64) -> BenchRecord {
@@ -105,8 +103,6 @@ fn bench_gate_trips_on_synthetic_regression_fixture() {
         html.contains("banner bad"),
         "dashboard shows the regression"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -127,6 +123,4 @@ fn bench_without_gate_reports_but_does_not_fail() {
     ]))
     .expect("without --gate the verdict is advisory");
     assert!(out.contains("REGRESSED"), "verdict still reported:\n{out}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -55,11 +55,8 @@
 //!   merge in unit order, so reports are bit-identical to sequential;
 //! * **memoization** ([`Integrated::analyze_with`] with an
 //!   [`AnalysisCache`]) — pair bounds and local delays are pure
-//!   functions of their operand curves, keyed structurally;
-//! * **incremental re-certification**
-//!   ([`Integrated::analyze_incremental`]) — replay the recorded
-//!   [`GroupTrace`] for units outside the mutated flow's downstream
-//!   closure, recompute only the dirty ones.
+//!   functions of their operand curves, keyed structurally, so work is
+//!   reused across runs and across networks sharing the cache.
 
 use crate::cache::{cached_local_delay, cap_word, AnalysisCache};
 use crate::propagate::Propagation;
@@ -200,7 +197,7 @@ impl Integrated {
 /// discipline. A mixed-discipline [`Group::Pair`] expands into two
 /// sequential singles (correct, no joint gain), matching the historical
 /// fallback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum Unit {
     Single(ServerId),
     FifoPair(ServerId, ServerId),
@@ -217,7 +214,7 @@ impl Unit {
 }
 
 /// How one computed delay advances the propagation state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum Advance {
     One(ServerId),
     Pair(ServerId, ServerId),
@@ -225,7 +222,7 @@ enum Advance {
 
 /// One (flow, stage) outcome of analyzing a unit — everything the apply
 /// step needs to update the report stages and the propagation tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct StageEntry {
     flow: FlowId,
     label: String,
@@ -233,57 +230,12 @@ struct StageEntry {
     advance: Advance,
 }
 
-/// The replayable outcome of one full Integrated analysis: the unit list
-/// and, per unit, the stage entries it produced.
-/// [`Integrated::analyze_incremental`] replays the entries of clean
-/// units verbatim and recomputes only dirty ones.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupTrace {
-    units: Vec<Unit>,
-    entries: Vec<Vec<StageEntry>>,
-}
-
-impl GroupTrace {
-    /// Number of units (pairing groups after discipline specialization).
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Rewrite the trace for a network about to lose `victim`: the
-    /// victim's own entries are dropped and flow ids above it shift down
-    /// by one, mirroring [`Network::remove_flow`]'s id compaction.
-    pub fn remap_release(&mut self, victim: FlowId) {
-        for entries in &mut self.entries {
-            entries.retain(|e| e.flow != victim);
-            for e in entries.iter_mut() {
-                if e.flow.0 > victim.0 {
-                    e.flow = FlowId(e.flow.0 - 1);
-                }
-            }
-        }
-    }
-}
-
-/// A successful incremental re-analysis
-/// (see [`Integrated::analyze_incremental`]).
-#[derive(Clone, Debug)]
-pub struct IncrementalOutcome {
-    /// The spliced report — Rat-exact equal to a from-scratch analysis.
-    pub report: AnalysisReport,
-    /// The refreshed trace for the next churn operation.
-    pub trace: GroupTrace,
-    /// Units inside the dirty closure (recomputed).
-    pub dirty_units: usize,
-    /// Total units in the partition.
-    pub total_units: usize,
-}
-
-/// `unit_of[server] → unit index` plus the forward dependency edges
-/// between units (deduplicated successors, from consecutive route hops).
-/// `None` when an edge points backwards — the partition guarantees a
-/// contracted-topological order so this cannot happen, but callers fall
-/// back to the sequential path instead of trusting it blindly.
-fn unit_graph(net: &Network, units: &[Unit]) -> Option<(Vec<usize>, Vec<BTreeSet<usize>>)> {
+/// The forward dependency edges between units (deduplicated successors,
+/// from consecutive route hops). `None` when an edge points backwards —
+/// the partition guarantees a contracted-topological order so this cannot
+/// happen, but callers fall back to the sequential path instead of
+/// trusting it blindly.
+fn unit_graph(net: &Network, units: &[Unit]) -> Option<Vec<BTreeSet<usize>>> {
     let mut unit_of = vec![usize::MAX; net.servers().len()];
     for (i, u) in units.iter().enumerate() {
         let (a, b) = u.servers();
@@ -305,7 +257,7 @@ fn unit_graph(net: &Network, units: &[Unit]) -> Option<(Vec<usize>, Vec<BTreeSet
             succs[iu].insert(iv); // audit: allow(index, iu is a unit index assigned above)
         }
     }
-    Some((unit_of, succs))
+    Some(succs)
 }
 
 /// Group unit indices into dependency waves: a unit's wave (depth) is one
@@ -313,7 +265,7 @@ fn unit_graph(net: &Network, units: &[Unit]) -> Option<(Vec<usize>, Vec<BTreeSet
 /// data dependency and may compute concurrently. Waves are emitted in
 /// depth order with ascending unit indices inside each wave.
 fn schedule_waves(net: &Network, units: &[Unit]) -> Option<Vec<Vec<usize>>> {
-    let (_, succs) = unit_graph(net, units)?;
+    let succs = unit_graph(net, units)?;
     let mut depth = vec![0usize; units.len()];
     for u in 0..units.len() {
         // audit: allow(index, u and v are unit indices below units.len())
@@ -330,34 +282,7 @@ fn schedule_waves(net: &Network, units: &[Unit]) -> Option<Vec<Vec<usize>>> {
     Some(waves)
 }
 
-/// Mark every unit whose inputs the mutated flow can reach: seed with the
-/// units containing the flow's route servers, then close forward over the
-/// dependency edges (one in-order pass suffices — edges only point
-/// forward). Everything unmarked provably sees byte-identical inputs
-/// (DESIGN.md §13).
-fn dirty_flags(net: &Network, units: &[Unit], seed: &[ServerId]) -> Option<Vec<bool>> {
-    let (unit_of, succs) = unit_graph(net, units)?;
-    let mut dirty = vec![false; units.len()];
-    for s in seed {
-        let iu = *unit_of.get(s.0)?;
-        if iu != usize::MAX {
-            dirty[iu] = true; // audit: allow(index, iu is a unit index assigned by unit_graph)
-        }
-    }
-    for u in 0..units.len() {
-        // audit: allow(index, u is a unit index below units.len())
-        if dirty[u] {
-            // audit: allow(index, u is a unit index below units.len())
-            for &v in &succs[u] {
-                // audit: allow(index, successors are unit indices below units.len())
-                dirty[v] = true;
-            }
-        }
-    }
-    Some(dirty)
-}
-
-/// Replay/record apply step: push report stages and advance propagation,
+/// Apply step: push report stages and advance propagation,
 /// in the entry order the compute step fixed.
 fn apply(prop: &mut Propagation<'_>, stages: &mut [Vec<(String, Rat)>], entries: &[StageEntry]) {
     for e in entries {
@@ -389,65 +314,10 @@ impl Integrated {
         net: &Network,
         cache: Option<&AnalysisCache>,
     ) -> Result<AnalysisReport, AnalysisError> {
-        self.analyze_traced(net, cache).map(|(report, _)| report)
-    }
-
-    /// Like [`Integrated::analyze_with`], additionally returning the
-    /// [`GroupTrace`] that [`Integrated::analyze_incremental`] replays.
-    pub fn analyze_traced(
-        &self,
-        net: &Network,
-        cache: Option<&AnalysisCache>,
-    ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
         let _span = dnc_telemetry::span("algo.integrated");
         net.validate()?;
         let units = self.units_of(net)?;
-        self.run(net, cache, &units, None)
-    }
-
-    /// Re-certify after a churn mutation by recomputing only the units
-    /// inside the mutated flow's dirty closure (`seed`: the flow's route
-    /// servers) and replaying `prev`'s recorded entries for the rest.
-    ///
-    /// Returns `Ok(None)` when the mutation changed the pairing
-    /// partition itself — the caller must fall back to
-    /// [`Integrated::analyze_traced`]. On success the report is Rat-exact
-    /// equal to a from-scratch analysis (asserted under
-    /// `debug-invariants`; argued in DESIGN.md §13).
-    pub fn analyze_incremental(
-        &self,
-        net: &Network,
-        prev: &GroupTrace,
-        seed: &[ServerId],
-        cache: Option<&AnalysisCache>,
-    ) -> Result<Option<IncrementalOutcome>, AnalysisError> {
-        let _span = dnc_telemetry::span("algo.integrated.incremental");
-        net.validate()?;
-        let units = self.units_of(net)?;
-        if units != prev.units || prev.entries.len() != units.len() {
-            return Ok(None); // partition changed: splice targets are gone
-        }
-        let Some(dirty) = dirty_flags(net, &units, seed) else {
-            return Ok(None);
-        };
-        let dirty_units = dirty.iter().filter(|&&d| d).count();
-        let (report, trace) = self.run(net, cache, &units, Some((prev, &dirty)))?;
-
-        #[cfg(feature = "debug-invariants")]
-        {
-            let (full, _) = self.run(net, None, &units, None)?;
-            assert_eq!(
-                report, full,
-                "incremental splice diverged from the from-scratch analysis"
-            );
-        }
-
-        Ok(Some(IncrementalOutcome {
-            report,
-            trace,
-            dirty_units,
-            total_units: units.len(),
-        }))
+        self.run(net, cache, &units)
     }
 
     /// The partition specialized into schedulable units.
@@ -480,29 +350,18 @@ impl Integrated {
 
     /// The analysis driver: compute every unit (sequentially in unit
     /// order, or wave-parallel when `workers > 1`), apply entries in unit
-    /// order, assemble the report and the trace. `replay` carries the
-    /// previous trace plus per-unit dirty flags for the incremental path;
-    /// clean units replay their recorded entries instead of computing.
+    /// order, assemble the report.
     fn run(
         &self,
         net: &Network,
         cache: Option<&AnalysisCache>,
         units: &[Unit],
-        replay: Option<(&GroupTrace, &[bool])>,
-    ) -> Result<(AnalysisReport, GroupTrace), AnalysisError> {
+    ) -> Result<AnalysisReport, AnalysisError> {
         let mut prop = Propagation::new(net, self.cap);
         let mut stages: Vec<Vec<(String, Rat)>> = vec![Vec::new(); net.flows().len()];
-        let mut trace_entries: Vec<Vec<StageEntry>> = vec![Vec::new(); units.len()];
 
         let compute =
             |i: usize, prop: &Propagation<'_>| -> Result<Vec<StageEntry>, AnalysisError> {
-                if let Some((prev, dirty)) = replay {
-                    // audit: allow(index, dirty and entries are sized to units — checked by analyze_incremental)
-                    if !dirty[i] {
-                        // audit: allow(index, dirty and entries are sized to units — checked by analyze_incremental)
-                        return Ok(prev.entries[i].clone());
-                    }
-                }
                 // audit: allow(index, i is a unit index below units.len())
                 match units[i] {
                     Unit::Single(s) => self.compute_single(net, s, prop, cache),
@@ -528,23 +387,20 @@ impl Integrated {
                     } else {
                         wave.iter().map(|&i| compute(i, &prop)).collect()
                     };
-                    for (entries, &i) in results.into_iter().zip(wave.iter()) {
-                        let entries = entries?;
-                        apply(&mut prop, &mut stages, &entries);
-                        trace_entries[i] = entries; // audit: allow(index, i is a unit index below units.len())
+                    for entries in results {
+                        apply(&mut prop, &mut stages, &entries?);
                     }
                 }
             }
             None => {
-                for (i, slot) in trace_entries.iter_mut().enumerate() {
+                for i in 0..units.len() {
                     let entries = compute(i, &prop)?;
                     apply(&mut prop, &mut stages, &entries);
-                    *slot = entries;
                 }
             }
         }
 
-        let report = AnalysisReport {
+        Ok(AnalysisReport {
             algorithm: self.name(),
             flows: net
                 .flows()
@@ -557,12 +413,7 @@ impl Integrated {
                     stages: std::mem::take(&mut stages[i]), // audit: allow(index, stages is sized to the flow count; f is a FlowId of the same network)
                 })
                 .collect(),
-        };
-        let trace = GroupTrace {
-            units: units.to_vec(),
-            entries: trace_entries,
-        };
-        Ok((report, trace))
+        })
     }
 
     fn compute_single(
@@ -1053,46 +904,5 @@ mod tests {
             .unwrap();
         assert_eq!(plain, cold);
         assert_eq!(plain, warm, "cache hits must be Rat-exact");
-    }
-
-    #[test]
-    fn incremental_matches_full_after_admit_and_release() {
-        let t = builders::tandem(5, int(1), rat(1, 16), builders::TandemOptions::default());
-        let alg = Integrated::paper();
-        let cache = AnalysisCache::new();
-        let (_, trace) = alg.analyze_traced(&t.net, Some(&cache)).unwrap();
-
-        // Admit a new flow over the middle servers.
-        let mut grown = t.net.clone();
-        let candidate = dnc_net::Flow {
-            name: "extra".into(),
-            spec: TrafficSpec::token_bucket(int(1), rat(1, 32)),
-            route: t.middle.clone(),
-            priority: 0,
-        };
-        let seed = candidate.route.clone();
-        grown.add_flow(candidate).unwrap();
-        let full = alg.analyze_traced(&grown, Some(&cache)).unwrap();
-        let inc = alg
-            .analyze_incremental(&grown, &trace, &seed, Some(&cache))
-            .unwrap()
-            .expect("tandem admit keeps the partition");
-        assert_eq!(inc.report, full.0, "spliced report must be Rat-exact");
-        assert_eq!(inc.trace, full.1, "refreshed trace must be replayable");
-        assert!(inc.dirty_units <= inc.total_units);
-
-        // Release it again: remap the trace and splice back.
-        let victim = FlowId(grown.flows().len() - 1);
-        let mut shrunk = grown.clone();
-        shrunk.remove_flow(victim).unwrap();
-        let mut remapped = inc.trace.clone();
-        remapped.remap_release(victim);
-        let full_back = alg.analyze_traced(&shrunk, Some(&cache)).unwrap();
-        let inc_back = alg
-            .analyze_incremental(&shrunk, &remapped, &seed, Some(&cache))
-            .unwrap()
-            .expect("tandem release keeps the partition");
-        assert_eq!(inc_back.report, full_back.0);
-        assert_eq!(inc_back.trace, full_back.1);
     }
 }

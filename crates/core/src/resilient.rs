@@ -24,11 +24,10 @@ use crate::cache::AnalysisCache;
 use crate::cyclic::TimeStopping;
 use crate::decomposed::Decomposed;
 use crate::guard::{ArmedGuard, Guard};
-use crate::integrated::{GroupTrace, Integrated};
+use crate::integrated::Integrated;
 use crate::{AnalysisError, AnalysisReport, DelayAnalysis, OutputCap};
 use dnc_curves::limits;
-use dnc_net::{Network, ServerId};
-use std::cell::RefCell;
+use dnc_net::Network;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -136,35 +135,6 @@ impl ResilientReport {
     }
 }
 
-/// Optional fast-path inputs for [`ResilientRunner::analyze_fast`]:
-/// shared memo tables, and (when re-certifying after a small mutation) the
-/// previous run's [`GroupTrace`] plus the servers whose inputs changed.
-#[derive(Clone, Copy, Debug)]
-pub struct FastPath<'a> {
-    /// Memo tables shared across runs (pair bounds, local delays,
-    /// propagated envelopes).
-    pub cache: &'a AnalysisCache,
-    /// `Some((trace, seed))` to attempt an incremental splice: `trace` is
-    /// the previous accepted analysis of this network, `seed` the servers
-    /// whose inputs changed since (e.g. the mutated flow's route).
-    pub prev: Option<(&'a GroupTrace, &'a [ServerId])>,
-}
-
-/// The result of [`ResilientRunner::analyze_fast`]: the resilient report
-/// plus the artifacts the next incremental run needs.
-#[derive(Clone, Debug)]
-pub struct FastReport {
-    /// The guarded, degradable analysis result.
-    pub report: ResilientReport,
-    /// The per-group trace of the answering Integrated run (`None` when a
-    /// decomposition tier answered — incremental splicing must restart
-    /// from a full Integrated pass).
-    pub trace: Option<GroupTrace>,
-    /// `Some((dirty, total))` when the incremental tier answered: how
-    /// many pairing groups were re-analyzed out of how many.
-    pub dirty_units: Option<(usize, usize)>,
-}
-
 /// Runs the Integrated → Decomposed → Unbounded fallback chain under a
 /// shared [`Guard`].
 #[derive(Clone, Debug)]
@@ -205,84 +175,24 @@ impl ResilientRunner {
     /// bound: the result either carries bounds from the recorded tier or
     /// is an explicit [`Tier::Unbounded`].
     pub fn analyze(&self, net: &Network) -> ResilientReport {
-        self.analyze_fast(net, None).report
+        self.analyze_fast(net, None)
     }
 
-    /// [`ResilientRunner::analyze`] with the fast path enabled: memoized
-    /// curve operations via `fast.cache`, and — when `fast.prev` carries
-    /// the previous run's trace — an extra **incremental** tier that
-    /// re-analyzes only the pairing groups affected by the seed servers
-    /// and splices the previous bounds for the rest. The incremental tier
-    /// degrades to a full Integrated pass (and onward down the chain)
-    /// whenever the pairing partition changed, so it never alters *what*
-    /// is answered, only how fast.
-    pub fn analyze_fast(&self, net: &Network, fast: Option<FastPath<'_>>) -> FastReport {
+    /// [`ResilientRunner::analyze`] with memoized curve operations: pair
+    /// bounds, local delays and envelopes are looked up in (and added to)
+    /// `cache`, which callers share across runs. Cache hits are Rat-exact,
+    /// so the cache never alters *what* is answered, only how fast.
+    pub fn analyze_fast(&self, net: &Network, cache: Option<&AnalysisCache>) -> ResilientReport {
         let _span = dnc_telemetry::span("algo.resilient");
         let armed = self.guard.arm();
         let feedforward = net.topological_order().is_ok();
         let mut attempts: Vec<Attempt> = Vec::new();
-        let cache = fast.as_ref().map(|f| f.cache);
-        let integrated = Integrated::paper().with_workers(self.workers);
-
-        // Tier 1a: incremental splice off the previous trace (only when
-        // the caller supplied one and the network is still feedforward).
-        if feedforward {
-            if let Some((prev, seed)) = fast.as_ref().and_then(|f| f.prev) {
-                let extras: RefCell<Option<(GroupTrace, usize, usize)>> = RefCell::new(None);
-                let ((outcome, wall_us), bounds) = run_attempt(&armed, || {
-                    match integrated.analyze_incremental(net, prev, seed, cache)? {
-                        Some(out) => {
-                            *extras.borrow_mut() =
-                                Some((out.trace, out.dirty_units, out.total_units));
-                            Ok((out.report, None))
-                        }
-                        None => Err(AnalysisError::Unsupported(
-                            "pairing partition changed; incremental splice inapplicable".into(),
-                        )),
-                    }
-                });
-                // A changed partition is not a failure of this network,
-                // just of the shortcut — record it as inapplicable.
-                let outcome = match outcome {
-                    Outcome::Failed(m) if m.contains("incremental splice inapplicable") => {
-                        Outcome::Inapplicable(m)
-                    }
-                    o => o,
-                };
-                let answered = matches!(outcome, Outcome::Answered);
-                attempts.push(Attempt {
-                    tier: Tier::Integrated,
-                    algorithm: "integrated-incremental",
-                    outcome,
-                    wall_us,
-                });
-                if answered {
-                    if let Some(b) = bounds {
-                        let (trace, dirty, total) = extras
-                            .into_inner()
-                            .expect("answered incremental has a trace"); // audit: allow(expect, extras is written before every Ok return above)
-                        dnc_telemetry::counter("core.resilient.incremental_answers", 1);
-                        return FastReport {
-                            report: ResilientReport {
-                                tier: Tier::Integrated,
-                                bounds: Some(b),
-                                attempts,
-                            },
-                            trace: Some(trace),
-                            dirty_units: Some((dirty, total)),
-                        };
-                    }
-                }
-            }
-        }
 
         // Tier 1: Integrated (feedforward only).
         if feedforward {
-            let extras: RefCell<Option<GroupTrace>> = RefCell::new(None);
+            let integrated = Integrated::paper().with_workers(self.workers);
             let ((outcome, wall_us), bounds) = run_attempt(&armed, || {
-                let (report, trace) = integrated.analyze_traced(net, cache)?;
-                *extras.borrow_mut() = Some(trace);
-                Ok((report, None))
+                integrated.analyze_with(net, cache).map(|r| (r, None))
             });
             let answered = matches!(outcome, Outcome::Answered);
             attempts.push(Attempt {
@@ -294,14 +204,10 @@ impl ResilientRunner {
             if answered {
                 if let Some(b) = bounds {
                     dnc_telemetry::counter("core.resilient.integrated_answers", 1);
-                    return FastReport {
-                        report: ResilientReport {
-                            tier: Tier::Integrated,
-                            bounds: Some(b),
-                            attempts,
-                        },
-                        trace: extras.into_inner(),
-                        dirty_units: None,
+                    return ResilientReport {
+                        tier: Tier::Integrated,
+                        bounds: Some(b),
+                        attempts,
                     };
                 }
             }
@@ -354,28 +260,20 @@ impl ResilientRunner {
         if answered {
             if let Some(b) = bounds {
                 dnc_telemetry::counter("core.resilient.decomposed_answers", 1);
-                return FastReport {
-                    report: ResilientReport {
-                        tier: Tier::Decomposed,
-                        bounds: Some(b),
-                        attempts,
-                    },
-                    trace: None,
-                    dirty_units: None,
+                return ResilientReport {
+                    tier: Tier::Decomposed,
+                    bounds: Some(b),
+                    attempts,
                 };
             }
         }
 
         // Tier 3: the explicit honest answer.
         dnc_telemetry::counter("core.resilient.unbounded_answers", 1);
-        FastReport {
-            report: ResilientReport {
-                tier: Tier::Unbounded,
-                bounds: None,
-                attempts,
-            },
-            trace: None,
-            dirty_units: None,
+        ResilientReport {
+            tier: Tier::Unbounded,
+            bounds: None,
+            attempts,
         }
     }
 }
@@ -586,60 +484,6 @@ mod tests {
             "summary must order integrated before decomposed: {summary}"
         );
         assert_eq!(summary.matches(" → ").count(), 1, "{summary}");
-    }
-
-    #[test]
-    fn fast_path_incremental_answers_and_matches_full() {
-        let t = builders::tandem(4, int(1), rat(3, 16), builders::TandemOptions::default());
-        let mut net = t.net;
-        let runner = ResilientRunner {
-            workers: 2,
-            ..ResilientRunner::default()
-        };
-        let cache = AnalysisCache::new();
-        let first = runner.analyze_fast(
-            &net,
-            Some(FastPath {
-                cache: &cache,
-                prev: None,
-            }),
-        );
-        assert_eq!(first.report.tier(), Tier::Integrated);
-        let trace = first.trace.expect("integrated answer carries a trace");
-
-        net.add_flow(Flow {
-            name: "extra".into(),
-            spec: TrafficSpec::token_bucket(int(1), rat(1, 16)),
-            route: vec![t.middle[1]],
-            priority: 0,
-        })
-        .unwrap();
-        let seed = [t.middle[1]];
-        let second = runner.analyze_fast(
-            &net,
-            Some(FastPath {
-                cache: &cache,
-                prev: Some((&trace, &seed)),
-            }),
-        );
-        assert_eq!(second.report.tier(), Tier::Integrated);
-        assert_eq!(
-            second.report.attempts()[0].algorithm,
-            "integrated-incremental"
-        );
-        assert_eq!(second.report.attempts()[0].outcome, Outcome::Answered);
-        let (dirty, total) = second.dirty_units.expect("incremental reports dirty count");
-        assert!(0 < dirty && dirty <= total, "dirty {dirty} / total {total}");
-        assert!(
-            second.trace.is_some(),
-            "incremental answer refreshes the trace"
-        );
-
-        let full = Integrated::paper().analyze(&net).unwrap();
-        let bounds = second.report.bounds().expect("incremental tier has bounds");
-        for (a, b) in bounds.flows.iter().zip(full.flows.iter()) {
-            assert_eq!(a.e2e, b.e2e, "splice must equal the from-scratch bound");
-        }
     }
 
     #[test]

@@ -30,13 +30,13 @@ use crate::snapshot::{self, RecoverError, Snapshot};
 use dnc_core::admission::Deadline;
 use dnc_core::cache::AnalysisCache;
 use dnc_core::guard::Guard;
-use dnc_core::integrated::GroupTrace;
-use dnc_core::resilient::{FastPath, FastReport, Outcome, ResilientReport, ResilientRunner, Tier};
-use dnc_net::{Flow, FlowId, Network, NetworkError, ServerId};
+use dnc_core::resilient::{Outcome, ResilientReport, ResilientRunner, Tier};
+use dnc_net::{Flow, FlowId, Network, NetworkError};
 use dnc_num::Rat;
 use dnc_traffic::{TokenBucket, TrafficSpec};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
@@ -49,12 +49,6 @@ pub struct EngineConfig {
     /// Scoped-thread fan-out width for each certification run (1 =
     /// sequential; bounds are bit-identical at any width).
     pub workers: usize,
-    /// Use the fast path: share memoized curve operations across
-    /// requests and re-certify incrementally off the previous accepted
-    /// analysis (splicing cached bounds for unaffected pairing groups).
-    /// `false` runs every certification from scratch — the honest
-    /// baseline the throughput harness compares against.
-    pub incremental: bool,
     /// Seed for the shed queue's deterministic retry-after jitter (see
     /// [`ShedQueue::retry_after`]). Same seed + same shed history ⇒
     /// identical hints, so scripted runs stay bit-reproducible.
@@ -63,14 +57,13 @@ pub struct EngineConfig {
     /// operations (`None` disables compaction). Bounds recovery cost by
     /// churn since the last snapshot instead of lifetime history.
     pub snapshot_every: Option<u64>,
-    /// Memo tables to certify against. `None` gives the engine a
-    /// private cache, used on the fast path only. Providing a shared
-    /// cache opts the engine into memoization even when
-    /// `incremental = false`: certifications still run from scratch
-    /// (no splice base), but curve-level memos warmed by other
-    /// engines/stages are honored — this is how the throughput
-    /// harness threads one cache through its stages.
-    pub cache: Option<std::sync::Arc<AnalysisCache>>,
+    /// Memo tables every certification reads and fills (pair bounds,
+    /// local delays, envelopes), reused across requests. The default is
+    /// a fresh private cache; passing one `Arc` to several engines
+    /// shares their memos. `None` certifies every request uncached from
+    /// scratch — the baseline the throughput harness compares against.
+    /// Cache hits are Rat-exact, so answers never depend on this knob.
+    pub cache: Option<Arc<AnalysisCache>>,
 }
 
 impl Default for EngineConfig {
@@ -79,10 +72,9 @@ impl Default for EngineConfig {
             guard: Guard::interactive(),
             queue_capacity: 64,
             workers: 1,
-            incremental: true,
             shed_seed: DEFAULT_RETRY_SEED,
             snapshot_every: None,
-            cache: None,
+            cache: Some(Arc::default()),
         }
     }
 }
@@ -260,19 +252,8 @@ pub struct ChurnEngine {
     runner: ResilientRunner,
     queue: ShedQueue,
     stats: EngineStats,
-    /// Memo tables shared across certifications — private by default,
-    /// externally shared when [`EngineConfig::cache`] was provided.
-    cache: std::sync::Arc<AnalysisCache>,
-    /// Whether `cache` came from the config (and must be honored even
-    /// with `incremental = false`).
-    shared_cache: bool,
-    /// The group trace of the last analysis accepted for the live
-    /// network — the splice base for incremental re-certification.
-    /// Always in sync with `net`: refreshed on commit, kept on rollback
-    /// (the live network did not change), never set after replay-only
-    /// mutations (recovery skips certification entirely).
-    trace: Option<GroupTrace>,
-    incremental: bool,
+    /// Memo tables shared across certifications ([`EngineConfig::cache`]).
+    cache: Option<Arc<AnalysisCache>>,
 }
 
 impl ChurnEngine {
@@ -304,10 +285,7 @@ impl ChurnEngine {
             },
             queue: ShedQueue::with_seed(config.queue_capacity, config.shed_seed),
             stats: EngineStats::default(),
-            shared_cache: config.cache.is_some(),
-            cache: config.cache.unwrap_or_default(),
-            trace: None,
-            incremental: config.incremental,
+            cache: config.cache,
         })
     }
 
@@ -516,18 +494,13 @@ impl ChurnEngine {
     pub fn process(&mut self, req: Request) -> Result<Response, EngineError> {
         match self.stage(req) {
             Staged::Done(ack) => Ok(ack.into_response()),
-            Staged::Commit {
-                op,
-                net,
-                trace,
-                ack,
-            } => {
+            Staged::Commit { op, net, ack } => {
                 // Durability before acknowledgment: journal first, then
                 // swap the staged state in.
                 if let Some(j) = self.journal.as_mut() {
                     j.append(&op)?;
                 }
-                self.apply_commit(&op, net, trace);
+                self.apply_commit(&op, net);
                 self.maybe_snapshot()?;
                 Ok(ack.into_response())
             }
@@ -557,13 +530,8 @@ impl ChurnEngine {
         for req in reqs {
             match self.stage(req) {
                 Staged::Done(ack) => acks.push(ack),
-                Staged::Commit {
-                    op,
-                    net,
-                    trace,
-                    ack,
-                } => {
-                    self.apply_commit(&op, net, trace);
+                Staged::Commit { op, net, ack } => {
+                    self.apply_commit(&op, net);
                     ops.push(*op);
                     acks.push(ack);
                 }
@@ -584,7 +552,7 @@ impl ChurnEngine {
 
     /// Certify one request against the current state without mutating
     /// it: the returned [`Staged::Commit`] carries everything a commit
-    /// needs (the op to journal, the staged network/trace to swap in,
+    /// needs (the op to journal, the staged network to swap in,
     /// and the acknowledgment to hand back **after** the journal fsync).
     fn stage(&mut self, req: Request) -> Staged {
         match req {
@@ -595,7 +563,7 @@ impl ChurnEngine {
     }
 
     /// Swap a staged, journaled commit into the live state.
-    fn apply_commit(&mut self, op: &Op, net: Network, trace: Option<GroupTrace>) {
+    fn apply_commit(&mut self, op: &Op, net: Network) {
         match op {
             Op::Admit(a) => self.admitted.push(a.clone()),
             Op::Release { name } => {
@@ -605,7 +573,6 @@ impl ChurnEngine {
             }
         }
         self.net = net;
-        self.trace = trace;
         self.committed_seq += 1;
         self.stats.commits += 1;
         dnc_telemetry::counter("service.commits", 1);
@@ -667,31 +634,6 @@ impl ChurnEngine {
         Ack::Queried { entries }
     }
 
-    /// Run the guarded certification chain on a staged network. On the
-    /// fast path this shares the memo cache across requests and — given
-    /// a splice base — re-analyzes only the pairing groups reachable
-    /// from the mutation's `seed` servers; otherwise every run is from
-    /// scratch.
-    fn certify(&self, staged: &Network, prev: Option<(&GroupTrace, &[ServerId])>) -> FastReport {
-        if !self.incremental && !self.shared_cache {
-            return self.runner.analyze_fast(staged, None);
-        }
-        // Non-incremental engines with a shared cache memoize curve
-        // operations but never splice off a previous trace.
-        let prev = if self.incremental { prev } else { None };
-        let fast = self.runner.analyze_fast(
-            staged,
-            Some(FastPath {
-                cache: &self.cache,
-                prev,
-            }),
-        );
-        if let Some((dirty, _total)) = fast.dirty_units {
-            dnc_telemetry::counter("churn.dirty_groups", dirty as u64);
-        }
-        fast
-    }
-
     fn stage_admit(&mut self, req: AdmitRequest) -> Staged {
         let _span = dnc_telemetry::span("service.admit");
         let name = req.name.clone();
@@ -714,17 +656,13 @@ impl ChurnEngine {
         }
 
         // Certify: the runner embodies retry-with-decay (Integrated,
-        // then the cheaper Decomposed on budget breach). The new flow
-        // only changes inputs along its own route, so those servers
-        // seed the incremental dirty set.
+        // then the cheaper Decomposed on budget breach).
         let mut deadlines = self.deadlines();
         deadlines.push(Deadline {
             flow: id,
             deadline: req.deadline,
         });
-        let seed = req.route.clone();
-        let fast = self.certify(&staged, self.trace.as_ref().map(|t| (t, seed.as_slice())));
-        let report = fast.report;
+        let report = self.runner.analyze_fast(&staged, self.cache.as_deref());
         let retried = was_retried(&report);
         if retried {
             self.stats.retries += 1;
@@ -756,7 +694,6 @@ impl ChurnEngine {
         Staged::Commit {
             op: Box::new(Op::Admit(admit_op)),
             net: staged,
-            trace: fast.trace,
             ack: Ack::Admitted {
                 name,
                 flow: id,
@@ -777,14 +714,6 @@ impl ChurnEngine {
             });
         };
         let victim = FlowId(self.base_flows + idx);
-        // The removal only changes inputs along the victim's route;
-        // those servers seed the incremental dirty set.
-        let seed: Vec<ServerId> = self
-            .net
-            .flows()
-            .get(victim.0)
-            .map(|f| f.route.clone())
-            .unwrap_or_default();
         let mut staged = self.net.clone();
         if let Err(e) = staged.remove_flow(victim) {
             return Staged::Done(Ack::ReleaseFailed {
@@ -805,14 +734,7 @@ impl ChurnEngine {
                 deadline: a.deadline,
             });
         }
-        // Rebase the previous trace into the post-removal id space so
-        // the splice can reuse the untouched groups' recorded stages.
-        let prev_trace = self.trace.clone().map(|mut t| {
-            t.remap_release(victim);
-            t
-        });
-        let fast = self.certify(&staged, prev_trace.as_ref().map(|t| (t, seed.as_slice())));
-        let report = fast.report;
+        let report = self.runner.analyze_fast(&staged, self.cache.as_deref());
         if was_retried(&report) {
             self.stats.retries += 1;
             dnc_telemetry::counter("service.retries", 1);
@@ -847,7 +769,6 @@ impl ChurnEngine {
                 name: name.to_string(),
             }),
             net: staged,
-            trace: fast.trace,
             ack: Ack::Released {
                 name: name.to_string(),
             },
@@ -982,24 +903,17 @@ impl Ack {
 
 /// The outcome of staging one request against the current state.
 enum Staged {
-    /// Certified: commit by journaling `op`, swapping `net`/`trace` in,
-    /// and only then releasing `ack`. The op is boxed to keep this
+    /// Certified: commit by journaling `op`, swapping `net` in, and
+    /// only then releasing `ack`. The op is boxed to keep this
     /// transient enum's variants close in size.
-    Commit {
-        op: Box<Op>,
-        net: Network,
-        trace: Option<GroupTrace>,
-        ack: Ack,
-    },
+    Commit { op: Box<Op>, net: Network, ack: Ack },
     /// No state change (rejection, failed release, query): answerable
     /// immediately, nothing to journal.
     Done(Ack),
 }
 
 /// True when the Integrated tier breached its budget and the Decomposed
-/// retry produced the answer — the retry-with-decay path. The fast path
-/// may record two Integrated attempts (incremental splice, then full),
-/// so any budget breach at that tier counts.
+/// retry produced the answer — the retry-with-decay path.
 fn was_retried(report: &ResilientReport) -> bool {
     report.tier() == Tier::Decomposed
         && report
@@ -1068,17 +982,10 @@ mod tests {
         ChurnEngine::new(base(), Vec::new(), EngineConfig::default()).unwrap()
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_engine_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_engine_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> (crate::ScratchDir, PathBuf) {
+        let dir = crate::scratch_dir("engine").unwrap();
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
@@ -1191,7 +1098,7 @@ mod tests {
 
     #[test]
     fn journal_recovery_rebuilds_identical_state() {
-        let path = tmp("recover.wal");
+        let (_dir, path) = tmp("recover.wal");
         let _ = std::fs::remove_file(&path);
         let digest = {
             let (mut e, info) =
@@ -1215,7 +1122,7 @@ mod tests {
 
     #[test]
     fn group_commit_batch_matches_serial_processing_and_recovers() {
-        let path = tmp("batch.wal");
+        let (_dir, path) = tmp("batch.wal");
         let _ = std::fs::remove_file(&path);
         let reqs = || {
             vec![
@@ -1288,7 +1195,7 @@ mod tests {
 
     #[test]
     fn snapshot_compaction_bounds_recovery_to_the_tail() {
-        let dir = tmpdir("compact");
+        let dir = crate::scratch_dir("engine").unwrap();
         let path = dir.join("engine.wal");
         let cfg = EngineConfig {
             snapshot_every: Some(2),
@@ -1319,7 +1226,7 @@ mod tests {
     fn engine_fail_stops_after_a_storage_fault() {
         use crate::fs::{FaultFs, FaultKind};
         use std::sync::Arc;
-        let dir = tmpdir("failstop");
+        let dir = crate::scratch_dir("engine").unwrap();
         let path = dir.join("engine.wal");
         // Journal creation consumes sites 0..3; site 3 is the first
         // commit's append write.

@@ -249,10 +249,10 @@ mod tests {
     use std::io::Read;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_fs_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn tmp(name: &str) -> (crate::ScratchDir, PathBuf) {
+        let dir = crate::scratch_dir("fs").unwrap();
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn open_rw(path: &Path) -> File {
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn probe_counts_sites_without_faulting() {
         let fs = FaultFs::probe();
-        let path = tmp("probe.bin");
+        let (_dir, path) = tmp("probe.bin");
         let mut f = open_rw(&path);
         fs.write(&mut f, b"hello").unwrap();
         fs.sync_data(&f).unwrap();
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn short_write_persists_half_then_fails_stop() {
         let fs = FaultFs::new(0, FaultKind::ShortWrite);
-        let path = tmp("short.bin");
+        let (_dir, path) = tmp("short.bin");
         let mut f = open_rw(&path);
         assert!(fs.write(&mut f, b"abcdef").is_err());
         let mut got = String::new();
@@ -297,7 +297,7 @@ mod tests {
     fn crash_before_performs_nothing_crash_after_performs_all() {
         for (kind, want) in [(FaultKind::CrashBefore, ""), (FaultKind::CrashAfter, "xy")] {
             let fs = FaultFs::new(0, kind);
-            let path = tmp("crash.bin");
+            let (_dir, path) = tmp("crash.bin");
             let mut f = open_rw(&path);
             assert!(fs.write(&mut f, b"xy").is_err(), "{kind}");
             let mut got = String::new();
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn fault_at_later_site_spares_earlier_calls() {
         let fs = FaultFs::new(2, FaultKind::Eio);
-        let path = tmp("later.bin");
+        let (_dir, path) = tmp("later.bin");
         let mut f = open_rw(&path);
         fs.write(&mut f, b"a").unwrap();
         fs.sync_data(&f).unwrap();
@@ -320,8 +320,8 @@ mod tests {
     #[test]
     fn rename_and_remove_are_mediated() {
         let fs = FaultFs::new(u64::MAX, FaultKind::Eio);
-        let a = tmp("move_a.bin");
-        let b = tmp("move_b.bin");
+        let (_dir, a) = tmp("move_a.bin");
+        let (_dir, b) = tmp("move_b.bin");
         std::fs::write(&a, b"payload").unwrap();
         fs.rename(&a, &b).unwrap();
         assert!(!a.exists() && b.exists());

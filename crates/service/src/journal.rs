@@ -723,10 +723,10 @@ mod tests {
     use dnc_num::{int, rat};
     use std::sync::Arc;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_journal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn tmp(name: &str) -> (crate::ScratchDir, PathBuf) {
+        let dir = crate::scratch_dir("journal").unwrap();
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn sample_admit(name: &str) -> Op {
@@ -786,7 +786,7 @@ mod tests {
 
     #[test]
     fn append_and_replay_round_trip() {
-        let path = tmp("round_trip.wal");
+        let (_dir, path) = tmp("round_trip.wal");
         let ops = vec![
             sample_admit("a"),
             sample_admit("b"),
@@ -805,7 +805,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_detected_and_truncated_at_every_offset() {
-        let path = tmp("torn.wal");
+        let (_dir, path) = tmp("torn.wal");
         let ops = vec![sample_admit("a"), Op::Release { name: "a".into() }];
         let mut j = Journal::create(&path).unwrap();
         for op in &ops {
@@ -816,7 +816,7 @@ mod tests {
         // Truncating anywhere must recover a (possibly empty) prefix of
         // the committed ops, never garbage.
         for cut in MAGIC.len()..full.len() {
-            let torn = tmp("torn_cut.wal");
+            let (_dir, torn) = tmp("torn_cut.wal");
             std::fs::write(&torn, &full[..cut]).unwrap();
             let (journal, r) = Journal::resume(&torn).unwrap();
             assert!(r.ops.len() <= ops.len());
@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn batch_append_replays_in_order_alongside_single_records() {
-        let path = tmp("batch_mix.wal");
+        let (_dir, path) = tmp("batch_mix.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("solo")).unwrap();
         let batch = vec![
@@ -862,7 +862,7 @@ mod tests {
 
     #[test]
     fn empty_batch_writes_nothing() {
-        let path = tmp("batch_empty.wal");
+        let (_dir, path) = tmp("batch_empty.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append_batch(&[]).unwrap();
         drop(j);
@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn torn_batch_is_dropped_wholesale() {
-        let path = tmp("batch_torn.wal");
+        let (_dir, path) = tmp("batch_torn.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("committed")).unwrap();
         let intact_len = std::fs::metadata(&path).unwrap().len();
@@ -889,7 +889,7 @@ mod tests {
         // Cut anywhere inside the batch record: either the whole batch
         // survives (no cut) or none of it does — never x without z.
         for cut in intact_len as usize..full.len() {
-            let torn = tmp("batch_torn_cut.wal");
+            let (_dir, torn) = tmp("batch_torn_cut.wal");
             std::fs::write(&torn, &full[..cut]).unwrap();
             let r = replay(&torn).unwrap();
             assert_eq!(
@@ -907,7 +907,7 @@ mod tests {
 
     #[test]
     fn batch_with_one_bad_line_is_atomic_poison() {
-        let path = tmp("batch_poison.wal");
+        let (_dir, path) = tmp("batch_poison.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("good")).unwrap();
         drop(j);
@@ -929,7 +929,7 @@ mod tests {
 
     #[test]
     fn empty_payload_record_is_a_defect() {
-        let path = tmp("empty_record.wal");
+        let (_dir, path) = tmp("empty_record.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("a")).unwrap();
         drop(j);
@@ -947,7 +947,7 @@ mod tests {
 
     #[test]
     fn corrupt_byte_in_tail_record_is_dropped() {
-        let path = tmp("corrupt.wal");
+        let (_dir, path) = tmp("corrupt.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("a")).unwrap();
         j.append(&sample_admit("b")).unwrap();
@@ -966,7 +966,7 @@ mod tests {
 
     #[test]
     fn non_journal_file_is_refused() {
-        let path = tmp("not_a_journal.txt");
+        let (_dir, path) = tmp("not_a_journal.txt");
         std::fs::write(&path, b"hello world, definitely not a journal").unwrap();
         assert!(matches!(replay(&path), Err(JournalError::BadHeader)));
         assert!(matches!(
@@ -979,7 +979,7 @@ mod tests {
             b"hello world, definitely not a journal"
         );
         // A short file that is NOT a magic prefix is refused too.
-        let short = tmp("short_impostor.txt");
+        let (_dir, short) = tmp("short_impostor.txt");
         std::fs::write(&short, b"DNX").unwrap();
         assert!(matches!(
             Journal::resume(&short),
@@ -989,7 +989,7 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_a_torn_payload() {
-        let path = tmp("oversized.wal");
+        let (_dir, path) = tmp("oversized.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("a")).unwrap();
         drop(j);
@@ -1011,7 +1011,7 @@ mod tests {
         // Every proper prefix of the magic — including the empty file a
         // crash-before-first-write leaves — recreates in place.
         for cut in 0..MAGIC.len() {
-            let path = tmp("torn_create.wal");
+            let (_dir, path) = tmp("torn_create.wal");
             std::fs::write(&path, &MAGIC[..cut]).unwrap();
             let (mut j, r) = Journal::resume(&path).unwrap();
             assert!(r.ops.is_empty(), "cut at {cut}");
@@ -1028,7 +1028,7 @@ mod tests {
         // out of sync with the file while later appends kept going.
         // Creation consumes sites 0..3 (write, sync_data, sync_dir);
         // site 3 is the first append's write.
-        let path = tmp("poisoned.wal");
+        let (_dir, path) = tmp("poisoned.wal");
         let fs = Arc::new(FaultFs::new(3, FaultKind::ShortWrite));
         let mut j = Journal::create_with(&path, fs).unwrap();
         let first = j.append(&sample_admit("a"));
@@ -1053,7 +1053,7 @@ mod tests {
     fn failed_fsync_poisons_the_handle_too() {
         // Site 4 is the first append's sync_data: the bytes hit the
         // file but durability is unknown — still fail-stop.
-        let path = tmp("poisoned_sync.wal");
+        let (_dir, path) = tmp("poisoned_sync.wal");
         let fs = Arc::new(FaultFs::new(4, FaultKind::Eio));
         let mut j = Journal::create_with(&path, fs).unwrap();
         assert!(matches!(
@@ -1068,7 +1068,7 @@ mod tests {
 
     #[test]
     fn epoch_record_round_trips_and_survives_appends() {
-        let path = tmp("epoch.wal");
+        let (_dir, path) = tmp("epoch.wal");
         let mut j = Journal::create_at(&path, crate::fs::real(), 3, 17).unwrap();
         j.append(&sample_admit("a")).unwrap();
         drop(j);
@@ -1086,7 +1086,7 @@ mod tests {
 
     #[test]
     fn rotation_moves_the_segment_aside_and_starts_a_fresh_epoch() {
-        let path = tmp("rotate.wal");
+        let (_dir, path) = tmp("rotate.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("a")).unwrap();
         j.append(&sample_admit("b")).unwrap();
@@ -1103,7 +1103,7 @@ mod tests {
 
     #[test]
     fn epoch_after_first_record_is_a_defect() {
-        let path = tmp("late_epoch.wal");
+        let (_dir, path) = tmp("late_epoch.wal");
         let mut j = Journal::create(&path).unwrap();
         j.append(&sample_admit("a")).unwrap();
         drop(j);

@@ -31,6 +31,7 @@ pub mod fs;
 pub mod journal;
 pub mod queue;
 pub mod request;
+pub mod scratch;
 pub mod server;
 pub mod snapshot;
 
@@ -40,5 +41,6 @@ pub use fs::{FaultFs, FaultKind, RealFs, StorageFs, StorageHandle, FAULT_KINDS};
 pub use journal::{AdmitOp, Journal, JournalError, Op, Replay, TailDefect};
 pub use queue::{Pushed, ShedQueue, ShedReason, Sheddable};
 pub use request::{AdmitRequest, Request};
+pub use scratch::{scratch_dir, ScratchDir};
 pub use server::{DecodeFn, ServerConfig, ServerError, ServerReport};
 pub use snapshot::{RecoverError, Recovered, Snapshot, SnapshotError};

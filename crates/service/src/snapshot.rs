@@ -495,11 +495,8 @@ mod tests {
     use dnc_num::{int, rat};
     use std::sync::Arc;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dnc_snap_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(name: &str) -> crate::ScratchDir {
+        crate::scratch_dir(&format!("snap_{name}")).unwrap()
     }
 
     fn admit(name: &str) -> AdmitOp {

@@ -18,7 +18,9 @@
 //! the invariants may not depend on them.
 
 use dnc_service::server::{run, ServerConfig};
-use dnc_service::{ChurnEngine, EngineConfig, Journal, Op, Request, Response};
+use dnc_service::{
+    scratch_dir, ChurnEngine, EngineConfig, Journal, Op, Request, Response, ScratchDir,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,10 +31,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_group_commit_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(format!("{tag}.wal"))
+fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
+    let dir = scratch_dir("group_commit").expect("scratch dir");
+    let wal = dir.join(format!("{tag}.wal"));
+    (dir, wal)
 }
 
 fn base() -> dnc_net::Network {
@@ -128,8 +130,7 @@ proptest! {
     ) {
         const CLIENTS: usize = 4;
         const OPS: usize = 10;
-        let wal = scratch(&format!("s{seed}b{batch}"));
-        let _ = std::fs::remove_file(&wal);
+        let (_dir, wal) = scratch(&format!("s{seed}b{batch}"));
         let (engine, _) = ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &wal)
             .expect("fresh journal opens");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -222,6 +223,5 @@ proptest! {
         let (recovered, _) = ChurnEngine::open(base(), Vec::new(), EngineConfig::default(), &wal)
             .expect("journal recovers");
         prop_assert_eq!(recovered.state_digest(), served.state_digest());
-        let _ = std::fs::remove_file(&wal);
     }
 }

@@ -10,11 +10,10 @@
 use dnc_net::builders::{tandem, TandemOptions};
 use dnc_net::ServerId;
 use dnc_num::Rat;
-use dnc_service::{AdmitRequest, ChurnEngine, EngineConfig, Request};
+use dnc_service::{scratch_dir, AdmitRequest, ChurnEngine, EngineConfig, Request, ScratchDir};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 
 fn draw_requests(seed: u64, n: usize, ops: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,11 +48,8 @@ fn draw_requests(seed: u64, n: usize, ops: usize) -> Vec<Request> {
         .collect()
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dnc_prop_snap_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    scratch_dir(&format!("prop_snap_{tag}")).unwrap()
 }
 
 proptest! {
@@ -122,6 +118,5 @@ proptest! {
                 every
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
 //! Parallel batch runs: sweep seeds or source-model assignments across
-//! worker threads (crossbeam scoped threads — the simulator itself is
+//! worker threads (`std::thread::scope` — the simulator itself is
 //! single-threaded per run, runs are embarrassingly parallel).
 //!
 //! A panicking job (bad model assignment, engine assertion) is isolated:
@@ -36,27 +36,29 @@ pub fn run_batch(net: &Network, jobs: &[BatchJob], workers: usize) -> Vec<JobRes
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results_mutex = std::sync::Mutex::new(&mut results);
 
-    let scope_ok = crossbeam::scope(|scope| {
-        for _ in 0..workers.min(jobs.len()) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    simulate(net, &jobs[i].models, &jobs[i].cfg)
-                }))
-                .map_err(|payload| panic_message(payload.as_ref()));
-                if outcome.is_err() {
-                    dnc_telemetry::counter("sim.batch.failed_jobs", 1);
-                }
-                let mut slots = results_mutex
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                slots[i] = Some(outcome);
-            });
-        }
-    })
+    let scope_ok = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(jobs.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        simulate(net, &jobs[i].models, &jobs[i].cfg)
+                    }))
+                    .map_err(|payload| panic_message(payload.as_ref()));
+                    if outcome.is_err() {
+                        dnc_telemetry::counter("sim.batch.failed_jobs", 1);
+                    }
+                    let mut slots = results_mutex
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    slots[i] = Some(outcome);
+                });
+            }
+        })
+    }))
     .is_ok();
 
     results

@@ -22,8 +22,8 @@
 //! * FIFO and static-priority disciplines are supported, mirroring
 //!   `dnc-net`'s server model.
 //!
-//! [`batch`] runs seed/model sweeps on worker threads (crossbeam) — the
-//! knob-turning companion for the benches.
+//! [`batch`] runs seed/model sweeps on scoped worker threads — the
+//! knob-turning companion for the validation harnesses.
 
 mod engine;
 mod stats;

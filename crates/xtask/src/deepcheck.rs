@@ -10,6 +10,7 @@
 //! | concurrency   | `conc-thread-local`, `conc-panic-payload` | `fan_out` jobs stay thread-local-clean    |
 //! | durability    | `dur-fsync`, `dur-framing`, `dur-group-ack`, `dur-atomic-publish` | fsync-before-ack; single-sourced framing; commit-dominated ack sink; crash-atomic snapshot publish |
 //! | contract      | `contract-exit`, `contract-span`, `contract-curve-eq` | unified exit codes; RAII spans held open; canonical curve equality |
+//! | hermeticity   | `hermetic-temp-path`                    | no two concurrent runs share a scratch path |
 //!
 //! All passes share the `// audit: allow(<lint>, <reason>)` escape hatch,
 //! but deepcheck lints must be named explicitly — blanket `allow(all)`
@@ -36,6 +37,7 @@ pub const DEEPCHECK_LINTS: &[&str] = &[
     "contract-exit",
     "contract-span",
     "contract-curve-eq",
+    "hermetic-temp-path",
 ];
 
 /// Files whose functions are *emit roots*: anything reachable from them
@@ -108,6 +110,10 @@ const CRC_NEEDLE: &str = "0xedb88320";
 /// The one file allowed to define exit-code integer constants.
 const EXIT_TABLE: &str = "crates/bench/src/exit.rs";
 
+/// The one file allowed to build a pid-keyed temp path: the
+/// `scratch_dir` helper, which adds a process-wide counter to the pid.
+const SCRATCH_HOME: &str = "crates/service/src/scratch.rs";
+
 /// Run every deepcheck pass over `files` and return the findings
 /// (unsorted; the caller sorts alongside allow records).
 pub fn run(files: &[ScannedFile]) -> Vec<Finding> {
@@ -123,6 +129,7 @@ pub fn run(files: &[ScannedFile]) -> Vec<Finding> {
     lint_contract_exit(files, &mut out);
     lint_contract_span(files, &mut out);
     lint_contract_curve_eq(files, &mut out);
+    lint_hermetic_temp_path(files, &mut out);
     // Distinct passes can rediscover the same site (e.g. two fan_out
     // call sites reaching one bad function); report each site once.
     out.sort_by(|a, b| {
@@ -1053,6 +1060,66 @@ fn lint_contract_curve_eq(files: &[ScannedFile], out: &mut Vec<Finding>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hermeticity: hermetic-temp-path
+// ---------------------------------------------------------------------------
+
+/// `toks[j]` names a path constructor whose argument becomes a file-system
+/// path: a `.join(…)` method call, `PathBuf::from(…)`, or `Path::new(…)`.
+fn is_path_ctor(toks: &[Token], j: usize) -> bool {
+    let t = &toks[j];
+    let qualified = |ty: &str| j >= 3 && path_sep(toks, j - 2) && toks[j - 3].is_ident(ty);
+    (t.is_ident("join") && j >= 1 && toks[j - 1].is_punct('.'))
+        || (t.is_ident("from") && qualified("PathBuf"))
+        || (t.is_ident("new") && qualified("Path"))
+}
+
+/// A scratch path keyed by `process::id()` alone is shared by every test
+/// thread of the process, so parallel tests delete each other's journals.
+/// Flags `process::id()` inside a `format!` that is the direct argument
+/// of a path constructor ([`is_path_ctor`]). Unlike the other passes this
+/// one covers test code and integration tests — that is where the race
+/// bites — and exempts only the `scratch_dir` helper ([`SCRATCH_HOME`]).
+/// A name built in a separate `let` and joined later is not followed.
+fn lint_hermetic_temp_path(files: &[ScannedFile], out: &mut Vec<Finding>) {
+    const LINT: &str = "hermetic-temp-path";
+    for file in files {
+        if file.path == SCRATCH_HOME || file.path.split('/').any(|seg| seg == "fixtures") {
+            continue;
+        }
+        let toks = &file.tokens;
+        for i in 2..toks.len() {
+            let is_format = toks[i].is_ident("format")
+                && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+                && toks.get(i + 2).is_some_and(|t| t.is_punct('('));
+            if !is_format || !toks[i - 1].is_punct('(') || !is_path_ctor(toks, i - 2) {
+                continue;
+            }
+            let Some(end) = call_args(toks, i + 2).and_then(|a| a.last().map(|r| r.end)) else {
+                continue;
+            };
+            for k in i + 3..end {
+                let pid = toks[k].is_ident("process")
+                    && path_sep(toks, k + 1)
+                    && toks.get(k + 3).is_some_and(|t| t.is_ident("id"))
+                    && toks.get(k + 4).is_some_and(|t| t.is_punct('('));
+                let line = toks[k].line;
+                if pid && !file.allowed_named(line, LINT) {
+                    out.push(Finding {
+                        lint: LINT.to_string(),
+                        file: file.path.clone(),
+                        line,
+                        message: "temp path keyed by `process::id()` alone is shared by every \
+                                  thread of the process; use `dnc_service::scratch_dir`"
+                            .to_string(),
+                        snippet: file.snippet(line).to_string(),
+                    });
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1397,6 +1464,20 @@ mod tests {
         assert!(run(&files).is_empty());
     }
 
+    // --- hermeticity -----------------------------------------------------
+
+    #[test]
+    fn pid_temp_path_is_flagged_in_test_code_but_not_in_the_helper() {
+        let src = "#[cfg(test)]\nmod tests {\n\
+                   fn tmp() -> PathBuf {\n\
+                   std::env::temp_dir().join(format!(\"x_{}\", std::process::id()))\n\
+                   }\n}\n";
+        let f = run(&[scan("crates/fake/src/journal.rs", src)]);
+        assert_eq!(lints_of(&f), ["hermetic-temp-path"]);
+        assert_eq!(f[0].line, 4);
+        assert!(run(&[scan(SCRATCH_HOME, src)]).is_empty());
+    }
+
     // --- scope and plumbing ----------------------------------------------
 
     #[test]
@@ -1497,6 +1578,20 @@ mod tests {
                 ],
             ),
             ("curve_eq_negative.rs", "crates/fixture/src/delta.rs", &[]),
+            (
+                "hermetic_positive.rs",
+                "crates/fixture/tests/journal.rs",
+                &[
+                    "hermetic-temp-path",
+                    "hermetic-temp-path",
+                    "hermetic-temp-path",
+                ],
+            ),
+            (
+                "hermetic_negative.rs",
+                "crates/fixture/tests/journal.rs",
+                &[],
+            ),
         ];
         for &(name, path, expected) in cases {
             let files = vec![fixture(name, path)];
