@@ -200,6 +200,31 @@ fn shared_knobs(opts: &BenchOptions) -> BTreeMap<String, String> {
     ])
 }
 
+/// The knobs of a run's `BENCH_throughput.json` record. The gate compares
+/// a record only with prior records whose knobs are equal, so every
+/// setting that changes what the numbers mean belongs here — the
+/// harness's measurement method included.
+pub fn throughput_knobs(opts: &BenchOptions) -> BTreeMap<String, String> {
+    let tcfg = throughput_config(opts);
+    let pcfg = profile_config(opts);
+    let scfg = socket_config(opts);
+    let mut knobs = shared_knobs(opts);
+    for (k, v) in [
+        ("throughput.n", tcfg.n.to_string()),
+        ("throughput.ops", tcfg.ops.to_string()),
+        ("throughput.workers", tcfg.workers.to_string()),
+        ("throughput.method", throughput::METHOD.to_string()),
+        ("profile.n", pcfg.n.to_string()),
+        ("profile.repeats", pcfg.repeats.to_string()),
+        ("socket.clients", scfg.clients.to_string()),
+        ("socket.ops", scfg.ops_per_client.to_string()),
+        ("socket.batch", scfg.batch.to_string()),
+    ] {
+        knobs.insert(k.to_string(), v);
+    }
+    knobs
+}
+
 /// Read a just-written metrics doc back and check it against the
 /// `dnc-metrics/v1` schema, so a malformed archive fails the run
 /// instead of poisoning the trajectory's provenance.
@@ -268,19 +293,7 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchSummary> {
         ));
     }
     let mut throughput_record = BenchRecord::stamped(&stamp);
-    throughput_record.knobs = shared_knobs(opts);
-    for (k, v) in [
-        ("throughput.n", tcfg.n.to_string()),
-        ("throughput.ops", tcfg.ops.to_string()),
-        ("throughput.workers", tcfg.workers.to_string()),
-        ("profile.n", pcfg.n.to_string()),
-        ("profile.repeats", pcfg.repeats.to_string()),
-        ("socket.clients", scfg.clients.to_string()),
-        ("socket.ops", scfg.ops_per_client.to_string()),
-        ("socket.batch", scfg.batch.to_string()),
-    ] {
-        throughput_record.knobs.insert(k.to_string(), v);
-    }
+    throughput_record.knobs = throughput_knobs(opts);
     for mode in &tp.modes {
         throughput_record.metrics.insert(
             format!("throughput.{}.wall_us", mode.label),

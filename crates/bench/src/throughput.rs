@@ -44,6 +44,10 @@ use std::sync::Arc;
 /// Timed passes per mode; the reported wall time is their minimum.
 pub const REPS: usize = 9;
 
+/// How a run measures, recorded as the `throughput.method` knob so the
+/// trajectory gate never compares numbers taken different ways.
+pub const METHOD: &str = "lockstep-best-of-9";
+
 /// Knobs of a throughput run.
 #[derive(Clone, Debug)]
 pub struct ThroughputConfig {
@@ -411,6 +415,11 @@ pub fn render_report(report: &ThroughputReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn method_knob_names_the_pass_count() {
+        assert_eq!(METHOD, format!("lockstep-best-of-{REPS}"));
+    }
 
     fn small() -> ThroughputConfig {
         ThroughputConfig {

@@ -409,8 +409,9 @@ fn median(values: &mut [f64]) -> f64 {
 const ABS_SLACK: f64 = 1e-9;
 
 /// Gate the latest record of a trajectory against the median of up to
-/// `cfg.window` prior records. With no prior records (first run ever)
-/// nothing is gated.
+/// `cfg.window` prior records with the same knobs. A record measured
+/// with other knobs (another size, seed or measurement method) is not a
+/// baseline for it. With no such prior record nothing is gated.
 pub fn evaluate_gate(records: &[BenchRecord], cfg: &GateConfig) -> GateReport {
     let Some((latest, prior)) = records.split_last() else {
         return GateReport {
@@ -418,7 +419,8 @@ pub fn evaluate_gate(records: &[BenchRecord], cfg: &GateConfig) -> GateReport {
             ..GateReport::default()
         };
     };
-    let window = &prior[prior.len().saturating_sub(cfg.window)..];
+    let comparable: Vec<&BenchRecord> = prior.iter().filter(|r| r.knobs == latest.knobs).collect();
+    let window = &comparable[comparable.len().saturating_sub(cfg.window)..];
     let mut verdicts = Vec::new();
     for (name, &value) in &latest.metrics {
         let mut history: Vec<f64> = window
@@ -471,11 +473,11 @@ pub fn render_gate_table(name: &str, report: &GateReport) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "gate[{name}]: band ±{}% around median of last {} prior run(s)",
+        "gate[{name}]: band ±{}% around median of last {} prior run(s) with the same knobs",
         report.threshold_pct, report.priors
     );
     if report.priors == 0 {
-        let _ = writeln!(s, "  no prior records — nothing gated");
+        let _ = writeln!(s, "  no prior records with the same knobs — nothing gated");
         return s;
     }
     let _ = writeln!(
@@ -623,6 +625,36 @@ mod tests {
         assert_eq!(regressed, ["a.wall_us", "b.admissions_per_sec"]);
         let table = render_gate_table("throughput", &report);
         assert!(table.contains("REGRESSED: 2 metric(s)"), "{table}");
+    }
+
+    #[test]
+    fn gate_compares_only_records_with_equal_knobs() {
+        let with_knob = |v: f64, method: &str| {
+            let mut r = record(&[("a.wall_us", v)]);
+            r.knobs
+                .insert("throughput.method".to_string(), method.to_string());
+            r
+        };
+        // Old-method records would read the latest as a 5x regression;
+        // the one record measured the same way is the baseline.
+        let mut recs: Vec<BenchRecord> = (0..6).map(|_| record(&[("a.wall_us", 20.0)])).collect();
+        recs.push(with_knob(100.0, "lockstep"));
+        recs.push(with_knob(20.0, "run-once"));
+        recs.push(with_knob(104.0, "lockstep"));
+        let report = evaluate_gate(&recs, &GateConfig::default());
+        assert_eq!(report.priors, 1);
+        assert_eq!(report.verdicts[0].baseline, 100.0);
+        assert!(!report.regressed(), "{:?}", report.verdicts);
+        // With no prior record of its knobs, nothing is gated.
+        recs.push(with_knob(9e9, "new"));
+        let report = evaluate_gate(&recs, &GateConfig::default());
+        assert_eq!(report.priors, 0);
+        assert!(report.verdicts.is_empty());
+        let table = render_gate_table("throughput", &report);
+        assert!(
+            table.contains("no prior records with the same knobs"),
+            "{table}"
+        );
     }
 
     #[test]

@@ -1339,7 +1339,7 @@ fn provision(path: &str) -> Result<String, CliError> {
 
 /// Emit the paper's `n`-switch tandem at work load `U` as a `.dnc`
 /// document (σ = 1, ρ = U/4, unit links, unit peaks).
-fn tandem_file(n: usize, u: Rat) -> Result<String, CliError> {
+pub(crate) fn tandem_file(n: usize, u: Rat) -> Result<String, CliError> {
     if n == 0 {
         return Err(CliError::new("tandem: n must be at least 1"));
     }

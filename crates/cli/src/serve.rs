@@ -404,3 +404,106 @@ fn serve_listen(
     );
     Ok(out)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dnc_num::Rat;
+
+    /// SplitMix64: the seeded source of the churn script.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// The rendered replies to a closed-loop churn script on
+    /// `dnc tandem 16 3/10`: 4-hop routes, σ = 1, ρ ∈ {1, 2}/200, a
+    /// deadline of 300–600 per hop, and one admit in five asking for 1/2,
+    /// which no bound meets. The client admits below `low` live
+    /// connections, releases at `high`, and picks at random between.
+    fn churn_replies(seed: u64, requests: usize, low: usize, high: usize) -> Vec<String> {
+        let text = crate::commands::tandem_file(16, Rat::new(3, 10)).expect("valid tandem");
+        let built = parse::parse_spec(&text)
+            .expect("generated spec parses")
+            .build()
+            .expect("generated spec builds");
+        let names: HashMap<String, ServerId> = built
+            .net
+            .servers()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.clone(), ServerId(i)))
+            .collect();
+        let mut engine = ChurnEngine::new(built.net, Vec::new(), EngineConfig::default())
+            .expect("volatile engine");
+        let mut rng = SplitMix(seed);
+        let mut live: Vec<String> = Vec::new();
+        let mut replies = Vec::new();
+        for id in 0..requests {
+            let admit = live.len() < low || (live.len() < high && rng.below(2) == 0);
+            let (line, name) = if admit {
+                let start = rng.below(13);
+                let route: Vec<String> = (start..start + 4).map(|j| format!("L{j}")).collect();
+                let rho = 1 + rng.below(2);
+                let deadline = if rng.below(5) == 0 {
+                    "1/2".to_string()
+                } else {
+                    (4 * (300 + rng.below(301))).to_string()
+                };
+                let name = format!("a{id}");
+                let line = format!(
+                    "admit {name} route {} bucket 1 {rho}/200 deadline {deadline}",
+                    route.join(" ")
+                );
+                (line, name)
+            } else {
+                let name = live.remove(rng.below(live.len() as u64) as usize);
+                (format!("release {name}"), name)
+            };
+            let req = parse_request_line(&line, id + 1, &names).expect("generated line parses");
+            let resp = engine.process(req).expect("volatile engine never fails");
+            match &resp {
+                Response::Admitted { .. } => live.push(name),
+                Response::ReleaseFailed { .. } => live.push(name),
+                _ => {}
+            }
+            replies.push(render_line(&resp));
+        }
+        replies
+    }
+
+    /// Every reply, exact bound and tier included, of a fixed 60-request
+    /// script: 34 admits (4 certified by Integrated, 30 falling back to
+    /// Decomposed because Integrated overflows `i128`), 12 rejects and 14
+    /// releases. The digest was taken before the binary-GCD `Rat` kernel
+    /// and must not move with any change to the arithmetic.
+    #[test]
+    fn tandem16_churn_replies_are_pinned() {
+        let replies = churn_replies(1, 60, 20, 24);
+        let count = |t: &str| replies.iter().filter(|r| r.contains(t)).count();
+        assert_eq!(
+            [
+                count("(tier integrated"),
+                count("(tier decomposed"),
+                count("REJECT"),
+                count("RELEASE")
+            ],
+            [4, 30, 12, 14]
+        );
+        let text = replies.join("\n");
+        assert_eq!(fnv1a(text.as_bytes()), 0x9ba4_8740_76d2_3cb7, "{text}");
+    }
+}

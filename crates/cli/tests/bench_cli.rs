@@ -9,6 +9,7 @@
 //! machine — the regression verdict is deterministic even though the
 //! measured timings are not.
 
+use dnc_bench::runner::{throughput_knobs, BenchOptions};
 use dnc_bench::trajectory::{append_record, BenchRecord};
 use dnc_cli::commands::{run, EXIT_REGRESSION};
 use dnc_service::{scratch_dir, ScratchDir};
@@ -25,7 +26,12 @@ fn prior(speedup: f64) -> BenchRecord {
         timestamp: "2026-08-07T00:00:00Z".to_string(),
         git_sha: "fixture00000".to_string(),
         toolchain: "rustc fixture".to_string(),
-        knobs: BTreeMap::from([("profile".to_string(), "quick".to_string())]),
+        // The gate only compares records with equal knobs: these are the
+        // knobs of the `--quick` run below.
+        knobs: throughput_knobs(&BenchOptions {
+            quick: true,
+            ..BenchOptions::default()
+        }),
         metrics: BTreeMap::from([("throughput.speedup".to_string(), speedup)]),
         counters: BTreeMap::new(),
     }
